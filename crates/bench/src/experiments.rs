@@ -3,15 +3,15 @@
 //! reduced scale. EXPERIMENTS.md records paper-vs-measured for each.
 
 use crdt_lattice::SizeModel;
-use crdt_sim::{run_experiment, NetworkConfig, RunMetrics, ShardedDeltaRunner, Topology};
-use crdt_sync::{AckedDeltaSync, DeltaConfig, OpBased, Scuttlebutt, ScuttlebuttGc};
-use crdt_types::GSet as GSetCrdt;
+use crdt_sim::{run_experiment, NetworkConfig, RunMetrics, Topology};
+use crdt_sync::{AckedDeltaSync, OpBased, ProtocolKind, Scuttlebutt, ScuttlebuttGc};
 use crdt_types::{GCounter, GSet};
 use crdt_workloads::{
     GCounterWorkload, GMapCrdt, GMapWorkload, GSetWorkload, RetwisConfig, RetwisTrace,
-    RetwisWorkload, Timeline, UserId, Wall, TABLE1,
+    RetwisWorkload, TABLE1,
 };
 
+use crate::retwis_sharded::{run_point, FamilyOps};
 use crate::{
     find, fmt_bytes, fmt_ratio, print_table, ratio, run_suite, transmission_ratio_rows, Run, Scale,
     Suite, TRANSMISSION_HEADERS,
@@ -327,39 +327,14 @@ pub struct ZipfPoint {
     pub bprr: RunMetrics,
 }
 
-/// Run one delta configuration over a Retwis trace: three sharded
-/// runners (followers / walls / timelines), one per object family, with
+/// Run one protocol over a Retwis trace: three sharded runners
+/// (followers / walls / timelines), one per object family, with
 /// per-object δ-buffers — the granularity the paper deploys (one CRDT per
-/// object, 30 K objects).
-fn run_retwis_config(trace: &RetwisTrace, topo: &Topology, cfg: DeltaConfig) -> RunMetrics {
-    let slack = topo.diameter() * 4 + 16;
-    let mut followers: ShardedDeltaRunner<UserId, GSetCrdt<UserId>> =
-        ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-    let mut walls: ShardedDeltaRunner<UserId, Wall> =
-        ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-    let mut timelines: ShardedDeltaRunner<UserId, Timeline> =
-        ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-
-    for round in &trace.rounds {
-        let f: Vec<_> = round.iter().map(|n| n.followers.clone()).collect();
-        let w: Vec<_> = round.iter().map(|n| n.walls.clone()).collect();
-        let t: Vec<_> = round.iter().map(|n| n.timelines.clone()).collect();
-        followers.step(&f);
-        walls.step(&w);
-        timelines.step(&t);
-    }
-    followers
-        .run_to_convergence(slack)
-        .expect("followers converge");
-    walls.run_to_convergence(slack).expect("walls converge");
-    timelines
-        .run_to_convergence(slack)
-        .expect("timelines converge");
-
-    followers
-        .into_metrics()
-        .merged(&walls.into_metrics())
-        .merged(&timelines.into_metrics())
+/// object, 30 K objects) — on one thread.
+fn run_retwis_point(ops: &FamilyOps, topo: &Topology, kind: ProtocolKind) -> RunMetrics {
+    let (metrics, _, converged) = run_point(kind, ops, topo, 1);
+    assert!(converged, "{kind}: every Retwis family converges");
+    metrics
 }
 
 /// Run the §V-C Retwis sweep: classic vs BP+RR across Zipf coefficients,
@@ -379,11 +354,11 @@ pub fn run_retwis_sweep(scale: Scale) -> Vec<ZipfPoint> {
         .into_iter()
         .map(|zipf| {
             let cfg = RetwisConfig { zipf, ..cfg_base };
-            let trace = RetwisTrace::generate(cfg, topo.len(), rounds);
+            let ops = FamilyOps::split(&RetwisTrace::generate(cfg, topo.len(), rounds));
             ZipfPoint {
                 zipf,
-                classic: run_retwis_config(&trace, &topo, DeltaConfig::CLASSIC),
-                bprr: run_retwis_config(&trace, &topo, DeltaConfig::BP_RR),
+                classic: run_retwis_point(&ops, &topo, ProtocolKind::Classic),
+                bprr: run_retwis_point(&ops, &topo, ProtocolKind::BpRr),
             }
         })
         .collect()
@@ -471,7 +446,7 @@ pub fn fig12_from(points: &[ZipfPoint]) {
         })
         .collect();
     print_table(
-        "Fig. 12: CPU time of classic delta vs BP+RR (Retwis; paper overheads: 0.4x/5.5x/7.9x at zipf 1/1.25/1.5)",
+        "Fig. 12: CPU time of classic delta vs BP+RR (Retwis, type-erased engines: CPU includes op and envelope codec work; paper overheads: 0.4x/5.5x/7.9x at zipf 1/1.25/1.5)",
         &["zipf", "classic cpu", "BP+RR cpu", "classic/BP+RR"],
         &rows,
     );
@@ -557,7 +532,7 @@ pub fn table2(scale: Scale) {
 /// `all_experiments`. Unlike the `fig*` functions (monomorphized per
 /// protocol), every run here goes through `Box<dyn SyncEngine>` over
 /// encoded [`crdt_sync::WireEnvelope`]s — the deployment path.
-pub fn protocol_select(scale: Scale, kinds: &[crdt_sync::ProtocolKind]) {
+pub fn protocol_select(scale: Scale, kinds: &[ProtocolKind]) {
     for (topo_name, topo) in [("tree", tree(scale)), ("mesh", mesh(scale))] {
         let n = topo.len();
         let rounds = events(scale);

@@ -85,15 +85,15 @@ type FamilyTrace<C> = Vec<Vec<Vec<(UserId, <C as crdt_types::Crdt>::Op)>>>;
 
 /// The trace regrouped by object family: `ops[round][node]` per family —
 /// built once per trace and replayed by every `(protocol, threads)`
-/// point.
-struct FamilyOps {
+/// point (and by the Fig. 11/12 sweep).
+pub(crate) struct FamilyOps {
     followers: FamilyTrace<GSet<UserId>>,
     walls: FamilyTrace<Wall>,
     timelines: FamilyTrace<Timeline>,
 }
 
 impl FamilyOps {
-    fn split(trace: &RetwisTrace) -> Self {
+    pub(crate) fn split(trace: &RetwisTrace) -> Self {
         FamilyOps {
             followers: trace
                 .rounds
@@ -116,7 +116,7 @@ impl FamilyOps {
 
 /// Replay the regrouped trace under `kind` with `threads` workers;
 /// returns the merged family metrics, objects per node, and convergence.
-fn run_point(
+pub(crate) fn run_point(
     kind: ProtocolKind,
     ops: &FamilyOps,
     topo: &Topology,

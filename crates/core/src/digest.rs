@@ -114,6 +114,15 @@ pub struct PairSyncStats {
     pub metadata_bytes: u64,
 }
 
+impl core::ops::AddAssign for PairSyncStats {
+    fn add_assign(&mut self, other: Self) {
+        self.messages += other.messages;
+        self.payload_elements += other.payload_elements;
+        self.payload_bytes += other.payload_bytes;
+        self.metadata_bytes += other.metadata_bytes;
+    }
+}
+
 /// State-driven synchronization of two replicas (2 messages).
 ///
 /// After the call both states equal `a ⊔ b`.

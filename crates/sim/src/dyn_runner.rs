@@ -461,10 +461,7 @@ where
                     .expect("runner engines are built over C");
                 digest_repair_deltas(xa, xb, &self.model)
             };
-            self.repair.messages += stats.messages;
-            self.repair.payload_elements += stats.payload_elements;
-            self.repair.payload_bytes += stats.payload_bytes;
-            self.repair.metadata_bytes += stats.metadata_bytes;
+            self.repair += stats;
             if !delta_for_a.is_bottom() {
                 self.inject_delta(b, a, delta_for_a);
             }

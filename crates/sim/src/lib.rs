@@ -8,26 +8,34 @@
 //!   plus rings, lines, stars, full meshes and seeded random graphs;
 //! * [`Network`] — a message fabric with seeded duplication/reordering
 //!   (the §II channel model) and optional drops for the acked variant;
-//! * [`Runner`] — drives one [`crdt_sync::Protocol`] per node through
-//!   rounds of "update, synchronize, deliver" and collects
 //! * [`RunMetrics`] — transmission in elements and payload/metadata bytes,
 //!   per-round memory snapshots, and protocol CPU time: exactly the
-//!   quantities of Figs. 1 and 7–12;
-//! * [`ShardedEngineRunner`] — the unified sharded runner: per-object
-//!   engines of any [`crdt_sync::ProtocolKind`] (the paper's 30 K-object
-//!   Retwis granularity), thread-parallel phases, scenario events at
-//!   node level, and per-destination [`crdt_sync::BatchEnvelope`]
-//!   batching so wire frames per round are O(links), not O(objects);
-//! * [`ScenarioSchedule`] / [`run_scenario`] — fault & churn scenarios
-//!   beyond the paper's static setup: partitions that heal, crashes with
-//!   and without durable state, joins with bootstrap, flapping links —
-//!   driven on the clock against [`DynRunner`], measuring convergence
-//!   rounds, bytes to re-converge, repair traffic and staleness windows.
+//!   quantities of Figs. 1 and 7–12.
+//!
+//! Three runners drive rounds of "update, synchronize, deliver":
+//!
+//! * [`Runner`] ([`run_experiment`]) — one compile-time
+//!   [`crdt_sync::Protocol`] instance per node over the [`Network`]
+//!   fabric: the zero-dispatch path of the per-figure experiments;
+//! * [`DynRunner`] ([`run_dyn_experiment`]) — one type-erased engine of a
+//!   runtime [`crdt_sync::ProtocolKind`] per node, with the full
+//!   scenario layer: [`ScenarioSchedule`] / [`run_scenario`] drive
+//!   partitions that heal, crashes with and without durable state, joins
+//!   with bootstrap and flapping links on the clock, measuring
+//!   convergence rounds, bytes to re-converge, repair traffic and
+//!   staleness windows;
+//! * [`ShardedEngineRunner`] — one `delta_store::StoreReplica` per node:
+//!   per-object engines of any kind (the paper's 30 K-object Retwis
+//!   granularity), thread-parallel phases, node-level scenario events
+//!   repaired through `delta_store::repair_pair`, and per-destination
+//!   [`crdt_sync::BatchEnvelope`] batching so wire frames per round are
+//!   O(links), not O(objects).
 //!
 //! Every quantity the paper reports is a *protocol* property, not a
 //! network property, so a deterministic simulation reproduces the shapes
-//! (who wins, by what factor) without a testbed; see DESIGN.md for the
-//! substitution argument.
+//! (who wins, by what factor) without a testbed: the runners meter what
+//! the protocols put on the wire and hold in memory, which no testbed
+//! property changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,16 +47,13 @@ mod network;
 mod parallel;
 mod runner;
 mod scenario;
-mod sharded;
 mod sharded_engine;
 mod topology;
 
 pub use dyn_runner::{run_dyn_experiment, DynRunner};
 pub use metrics::{RoundMetrics, RunMetrics};
 pub use network::{Envelope, LinkFault, Network, NetworkConfig};
-pub use parallel::ParallelRunner;
 pub use runner::{run_experiment, Runner, Workload};
 pub use scenario::{run_scenario, ScenarioEvent, ScenarioOutcome, ScenarioSchedule};
-pub use sharded::{KeyedOp, ShardedDeltaRunner};
-pub use sharded_engine::{register_runner_metrics, ShardedEngineRunner};
+pub use sharded_engine::{register_runner_metrics, KeyedOp, ShardedEngineRunner};
 pub use topology::{DynamicTopology, Topology};

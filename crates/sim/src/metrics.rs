@@ -6,8 +6,8 @@ use crdt_sync::MemoryUsage;
 
 /// Per-worker phase timings → `(summed work, critical path)`: the sum
 /// over all per-node entries, and the busiest thread-chunk's sum under
-/// contiguous `threads`-way chunking (the chunking both parallel runners
-/// use).
+/// contiguous `threads`-way chunking (the chunking `par_map_chunked`
+/// runs phases on).
 pub(crate) fn phase_split(nanos: &[u64], threads: usize) -> (u64, u64) {
     let chunk = nanos.len().div_ceil(threads).max(1);
     let critical = nanos

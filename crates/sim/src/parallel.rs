@@ -1,89 +1,41 @@
-//! A thread-parallel round engine.
+//! The thread-parallel phase model.
 //!
-//! Protocol instances at different nodes share nothing, so within a round
-//! the expensive phases — applying operations, running synchronization
-//! steps, and absorbing delivered messages — parallelize across nodes.
-//! The engine keeps the sequential runner's semantics exactly:
+//! Replicas at different nodes share nothing, so within a round the
+//! expensive phases — applying operations, running synchronization
+//! steps, absorbing delivered batches — parallelize across nodes.
+//! [`crate::ShardedEngineRunner`] keeps sequential semantics exactly:
 //!
-//! * ops are drawn from the workload **sequentially** (workloads are
-//!   stateful generators; their op streams must not depend on thread
-//!   interleaving);
+//! * each phase runs contiguous node chunks, one per thread;
 //! * messages are delivered grouped by recipient, each recipient
 //!   processed by exactly one thread, in a deterministic
 //!   (sender, emission-index) order;
-//! * reply waves (push-pull protocols) loop until quiescence, exactly
-//!   like [`crate::Runner`].
+//! * reply waves (push-pull protocols) loop until quiescence.
 //!
-//! Fault injection is not supported here (the fault RNG is inherently
-//! sequential); use the sequential [`crate::Runner`] for chaos testing
-//! and this engine for big, reliable-fabric sweeps.
-
-use std::time::Instant;
-
-use crdt_lattice::{ReplicaId, SizeModel};
-use crdt_sync::{Measured, Params, Protocol};
-use crdt_types::Crdt;
-
-use crate::metrics::{RoundMetrics, RunMetrics};
-use crate::runner::Workload;
-use crate::topology::Topology;
-
-/// Messages a node hands the engine in one phase: per-node CPU nanos plus
-/// `(recipient, message)` pairs.
-type PhaseOutput<M> = (u64, Vec<(ReplicaId, M)>);
+//! Fault injection through the seeded [`crate::Network`] is not
+//! supported here (its RNG is inherently sequential); use
+//! [`crate::Runner`] or [`crate::DynRunner`] for chaos testing.
 
 /// Split `items` into contiguous per-thread chunks and run `work` on each
 /// `(index, item)` in parallel; collect per-item outputs in item order.
 ///
 /// The chunking is identical to [`crate::metrics::phase_split`]'s — the
 /// two must stay in lockstep, or per-phase critical paths would be
-/// computed over chunks that never ran. Shared by [`ParallelRunner`] and
-/// `ShardedEngineRunner`.
+/// computed over chunks that never ran.
 pub(crate) fn par_map_chunked<N: Send, T: Send + Default>(
     items: &mut [N],
     threads: usize,
     work: impl Fn(usize, &mut N) -> T + Sync,
 ) -> Vec<T> {
-    let mut no_ctx: Vec<()> = Vec::new();
-    par_map_chunked_ctx(
-        items,
-        threads,
-        &mut no_ctx,
-        || (),
-        |i, item, ()| work(i, item),
-    )
-}
-
-/// [`par_map_chunked`] with **per-worker mutable context**: worker `w`
-/// (the thread running contiguous chunk `w`) gets exclusive access to
-/// `ctxs[w]` for its whole chunk. `ctxs` is grown on demand with
-/// `make_ctx` and persists across calls, which is exactly the shape the
-/// wire path's [`crdt_sync::BufferPool`]s need — each worker reuses its
-/// own encode scratch round after round, with no cross-thread
-/// synchronization (the phase model already gives workers disjoint
-/// state).
-pub(crate) fn par_map_chunked_ctx<N: Send, T: Send + Default, Cx: Send>(
-    items: &mut [N],
-    threads: usize,
-    ctxs: &mut Vec<Cx>,
-    make_ctx: impl Fn() -> Cx,
-    work: impl Fn(usize, &mut N, &mut Cx) -> T + Sync,
-) -> Vec<T> {
     let n = items.len();
     let chunk = n.div_ceil(threads).max(1);
-    let n_chunks = n.div_ceil(chunk);
-    if ctxs.len() < n_chunks {
-        ctxs.resize_with(n_chunks, make_ctx);
-    }
     let mut results: Vec<T> = Vec::with_capacity(n);
     results.resize_with(n, T::default);
     std::thread::scope(|scope| {
         let work = &work;
-        for (((start, item_chunk), result_chunk), ctx) in (0..n)
+        for ((start, item_chunk), result_chunk) in (0..n)
             .step_by(chunk)
             .zip(items.chunks_mut(chunk))
             .zip(results.chunks_mut(chunk))
-            .zip(ctxs.iter_mut())
         {
             scope.spawn(move || {
                 for (offset, (item, slot)) in item_chunk
@@ -91,7 +43,7 @@ pub(crate) fn par_map_chunked_ctx<N: Send, T: Send + Default, Cx: Send>(
                     .zip(result_chunk.iter_mut())
                     .enumerate()
                 {
-                    *slot = work(start + offset, item, ctx);
+                    *slot = work(start + offset, item);
                 }
             });
         }
@@ -99,230 +51,43 @@ pub(crate) fn par_map_chunked_ctx<N: Send, T: Send + Default, Cx: Send>(
     results
 }
 
-/// Thread-parallel counterpart of [`crate::Runner`] (reliable fabric
-/// only).
-#[derive(Debug)]
-pub struct ParallelRunner<C: Crdt, P: Protocol<C>> {
-    topology: Topology,
-    nodes: Vec<P>,
-    model: SizeModel,
-    threads: usize,
-    metrics: RunMetrics,
-    round: usize,
-    _marker: core::marker::PhantomData<fn() -> C>,
-}
-
-impl<C, P> ParallelRunner<C, P>
-where
-    C: Crdt,
-    C::Op: Send + Sync,
-    P: Protocol<C> + Send,
-    P::Msg: Send,
-{
-    /// Build a runner with `threads` worker threads (clamped to ≥ 1).
-    pub fn new(topology: Topology, model: SizeModel, threads: usize) -> Self {
-        let params = Params::new(topology.len());
-        let nodes: Vec<P> = topology.nodes().map(|id| P::new(id, &params)).collect();
-        let n = topology.len();
-        ParallelRunner {
-            topology,
-            nodes,
-            model,
-            threads: threads.max(1),
-            metrics: RunMetrics::new(n),
-            round: 0,
-            _marker: core::marker::PhantomData,
-        }
-    }
-
-    /// Access a node's protocol instance.
-    pub fn node(&self, id: ReplicaId) -> &P {
-        &self.nodes[id.index()]
-    }
-
-    /// Collected metrics.
-    pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
-    }
-
-    /// Consume, returning the metrics.
-    pub fn into_metrics(self) -> RunMetrics {
-        self.metrics
-    }
-
-    /// Have all replicas converged?
-    pub fn converged(&self) -> bool {
-        self.nodes.windows(2).all(|w| w[0].state() == w[1].state())
-    }
-
-    /// Run `rounds` rounds.
-    pub fn run(&mut self, workload: &mut impl Workload<C>, rounds: usize) {
-        for _ in 0..rounds {
-            self.step(workload);
-        }
-    }
-
-    /// Split `nodes` into contiguous per-thread chunks and run `work` on
-    /// each (node_index, node) in parallel; collect per-node outputs.
-    fn par_map<T: Send + Default>(
-        nodes: &mut [P],
-        threads: usize,
-        work: impl Fn(usize, &mut P) -> T + Sync,
-    ) -> Vec<T> {
-        par_map_chunked(nodes, threads, work)
-    }
-
-    /// Per-node phase timings → `(summed work, critical path)`: the sum
-    /// over all nodes, and the busiest thread-chunk's sum under the same
-    /// contiguous chunking [`ParallelRunner::par_map`] uses. Speedup
-    /// claims must compare critical paths, never a wall-clock quantity
-    /// against a cross-thread sum.
-    fn phase_nanos(nanos: &[u64], threads: usize) -> (u64, u64) {
-        crate::metrics::phase_split(nanos, threads)
-    }
-
-    fn absorb_phase(rm: &mut RoundMetrics, nanos: &[u64], threads: usize) {
-        let (work, critical) = Self::phase_nanos(nanos, threads);
-        rm.cpu_nanos += work;
-        rm.critical_path_nanos += critical;
-    }
-
-    /// Run one round.
-    pub fn step(&mut self, workload: &mut impl Workload<C>) {
-        let mut rm = RoundMetrics::default();
-        let n = self.nodes.len();
-
-        // Ops are drawn sequentially (stateful generator), applied in
-        // parallel. Draw time is driver overhead, not protocol CPU.
-        let t_draw = Instant::now();
-        let ops: Vec<Vec<C::Op>> = (0..n)
-            .map(|i| workload.ops(ReplicaId::from(i), self.round))
-            .collect();
-        rm.workload_nanos += t_draw.elapsed().as_nanos() as u64;
-        let ops_ref = &ops;
-        let nanos = Self::par_map(&mut self.nodes, self.threads, |i, node| {
-            let t0 = Instant::now();
-            for op in &ops_ref[i] {
-                node.on_op(op);
-            }
-            t0.elapsed().as_nanos() as u64
-        });
-        Self::absorb_phase(&mut rm, &nanos, self.threads);
-
-        // Sync phase: each node emits its messages in parallel.
-        let topology = &self.topology;
-        let sync_out: Vec<PhaseOutput<P::Msg>> =
-            Self::par_map(&mut self.nodes, self.threads, |i, node| {
-                let t0 = Instant::now();
-                let mut out = Vec::new();
-                node.on_sync(topology.neighbors(ReplicaId::from(i)), &mut out);
-                (t0.elapsed().as_nanos() as u64, out)
-            });
-
-        // Delivery waves until quiescence.
-        let mut wave: Vec<(ReplicaId, ReplicaId, P::Msg)> = Vec::new();
-        let mut phase: Vec<u64> = Vec::with_capacity(n);
-        for (i, (nanos, msgs)) in sync_out.into_iter().enumerate() {
-            phase.push(nanos);
-            for (to, msg) in msgs {
-                self.account(&mut rm, &msg);
-                wave.push((ReplicaId::from(i), to, msg));
-            }
-        }
-        Self::absorb_phase(&mut rm, &phase, self.threads);
-        while !wave.is_empty() {
-            // Group by recipient, preserving (sender, emission) order.
-            let mut inboxes: Vec<Vec<(ReplicaId, P::Msg)>> = Vec::with_capacity(n);
-            inboxes.resize_with(n, Vec::new);
-            for (from, to, msg) in wave.drain(..) {
-                inboxes[to.index()].push((from, msg));
-            }
-            let inboxes_ref = std::sync::Mutex::new(inboxes);
-            // Each recipient absorbs its inbox in parallel; replies are
-            // collected for the next wave.
-            let replies: Vec<PhaseOutput<P::Msg>> =
-                Self::par_map(&mut self.nodes, self.threads, |i, node| {
-                    let inbox = {
-                        let mut guard = inboxes_ref.lock().expect("inbox lock");
-                        std::mem::take(&mut guard[i])
-                    };
-                    let t0 = Instant::now();
-                    let mut out = Vec::new();
-                    for (from, msg) in inbox {
-                        node.on_msg(from, msg, &mut out);
-                    }
-                    (t0.elapsed().as_nanos() as u64, out)
-                });
-            let mut phase: Vec<u64> = Vec::with_capacity(n);
-            for (i, (nanos, msgs)) in replies.into_iter().enumerate() {
-                phase.push(nanos);
-                for (to, msg) in msgs {
-                    self.account(&mut rm, &msg);
-                    wave.push((ReplicaId::from(i), to, msg));
-                }
-            }
-            Self::absorb_phase(&mut rm, &phase, self.threads);
-        }
-
-        // Memory snapshot (parallel, read-only).
-        let model = self.model;
-        let mems = Self::par_map(&mut self.nodes, self.threads, |_, node| {
-            let m = node.memory(&model);
-            (m.crdt_elements, m.crdt_bytes, m.meta_elements, m.meta_bytes)
-        });
-        for (ce, cb, me, mb) in mems {
-            rm.memory.crdt_elements += ce;
-            rm.memory.crdt_bytes += cb;
-            rm.memory.meta_elements += me;
-            rm.memory.meta_bytes += mb;
-        }
-
-        self.metrics.push_round(rm);
-        self.round += 1;
-    }
-
-    fn account(&self, rm: &mut RoundMetrics, msg: &P::Msg) {
-        rm.messages += 1;
-        rm.envelopes += 1;
-        rm.payload_elements += msg.payload_elements();
-        rm.payload_bytes += msg.payload_bytes(&self.model);
-        rm.metadata_bytes += msg.metadata_bytes(&self.model);
-    }
-
-    /// Keep synchronizing with no new ops until convergence.
-    pub fn run_to_convergence(&mut self, max_rounds: usize) -> Option<usize> {
-        let mut idle = |_: ReplicaId, _: usize| -> Vec<C::Op> { Vec::new() };
-        for extra in 0..=max_rounds {
-            if self.converged() {
-                return Some(extra);
-            }
-            self.step(&mut idle);
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::metrics::phase_split;
     use crate::network::NetworkConfig;
     use crate::runner::Runner;
-    use crdt_sync::{BpRrDelta, Scuttlebutt};
+    use crate::{KeyedOp, ShardedEngineRunner, Topology};
+    use crdt_lattice::{ReplicaId, SizeModel};
+    use crdt_sync::{BpRrDelta, Protocol, ProtocolKind};
     use crdt_types::{GSet, GSetOp};
 
-    fn unique_adds(n: usize, events: usize) -> impl FnMut(ReplicaId, usize) -> Vec<GSetOp<u64>> {
-        move |node: ReplicaId, round: usize| {
-            if round >= events {
-                return Vec::new();
-            }
-            vec![GSetOp::Add((round * n + node.index()) as u64)]
-        }
+    /// One object per run (key 0): the sharded runner reduces to a
+    /// single-object cluster.
+    type R = ShardedEngineRunner<u32, GSet<u64>>;
+    type RoundOps = Vec<Vec<KeyedOp<u32, GSet<u64>>>>;
+
+    /// `events` rounds of one unique add per node, all on key 0.
+    fn unique_adds(n: usize, events: usize) -> Vec<RoundOps> {
+        (0..events)
+            .map(|round| {
+                (0..n)
+                    .map(|node| vec![(0, GSetOp::Add((round * n + node) as u64))])
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn sharded(kind: ProtocolKind, topo: Topology, threads: usize, events: usize) -> R {
+        let n = topo.len();
+        let mut r: R = ShardedEngineRunner::new(kind, topo, SizeModel::compact(), threads);
+        r.run_rounds(&unique_adds(n, events));
+        r.run_to_convergence(64).expect("converges");
+        r
     }
 
     #[test]
     fn matches_sequential_runner_exactly() {
-        let n = 10;
-        let events = 8;
+        let (n, events) = (10, 8);
         let topo = Topology::partial_mesh(n, 4);
 
         let mut seq: Runner<GSet<u64>, BpRrDelta<GSet<u64>>> = Runner::new(
@@ -330,65 +95,55 @@ mod tests {
             NetworkConfig::reliable(0),
             SizeModel::compact(),
         );
-        seq.run(&mut unique_adds(n, events), events);
+        let mut ops = |node: ReplicaId, round: usize| {
+            if round >= events {
+                return Vec::new();
+            }
+            vec![GSetOp::Add((round * n + node.index()) as u64)]
+        };
+        seq.run(&mut ops, events);
         seq.run_to_convergence(64).unwrap();
 
-        let mut par: ParallelRunner<GSet<u64>, BpRrDelta<GSet<u64>>> =
-            ParallelRunner::new(topo, SizeModel::compact(), 4);
-        par.run(&mut unique_adds(n, events), events);
-        par.run_to_convergence(64).unwrap();
-
+        let par = sharded(ProtocolKind::BpRr, topo, 4, events);
         assert_eq!(
-            seq.node(ReplicaId(0)).state(),
-            par.node(ReplicaId(0)).state()
+            Some(seq.node(ReplicaId(0)).state()),
+            par.object_state(ReplicaId(0), &0)
         );
-        // Transmission accounting is identical (message contents and
-        // counts do not depend on scheduling).
-        assert_eq!(
-            seq.metrics().total_elements(),
-            par.metrics().total_elements()
-        );
-        assert_eq!(
-            seq.metrics().total_messages(),
-            par.metrics().total_messages()
-        );
-        assert_eq!(seq.metrics().total_bytes(), par.metrics().total_bytes());
+        // Transmission accounting is identical: one object means one
+        // envelope per frame, and message contents and counts do not
+        // depend on scheduling. (Metadata differs by the object key the
+        // batch frame carries.)
+        let (s, p) = (seq.metrics(), par.metrics());
+        assert_eq!(s.total_elements(), p.total_elements());
+        assert_eq!(s.total_messages(), p.total_messages());
+        assert_eq!(s.total_payload_bytes(), p.total_payload_bytes());
     }
 
     #[test]
     fn push_pull_replies_complete_within_round() {
-        let n = 8;
-        let events = 5;
-        let topo = Topology::ring(n);
-        let mut par: ParallelRunner<GSet<u64>, Scuttlebutt<GSet<u64>>> =
-            ParallelRunner::new(topo, SizeModel::compact(), 3);
-        par.run(&mut unique_adds(n, events), events);
-        par.run_to_convergence(32)
-            .expect("scuttlebutt converges in parallel");
-        assert_eq!(par.node(ReplicaId(3)).state().len(), n * events);
+        let (n, events) = (8, 5);
+        let par = sharded(ProtocolKind::Scuttlebutt, Topology::ring(n), 3, events);
+        assert_eq!(
+            par.object_state(ReplicaId(3), &0).unwrap().len(),
+            n * events
+        );
     }
 
     #[test]
     fn phase_nanos_splits_work_and_critical_path() {
-        type R = ParallelRunner<GSet<u64>, BpRrDelta<GSet<u64>>>;
         // 4 nodes on 2 threads → chunks [7, 1] and [4, 4].
-        let (work, critical) = R::phase_nanos(&[7, 1, 4, 4], 2);
+        let (work, critical) = phase_split(&[7, 1, 4, 4], 2);
         assert_eq!(work, 16);
         assert_eq!(critical, 8);
         // One thread: critical path is all the work.
-        let (work, critical) = R::phase_nanos(&[7, 1, 4, 4], 1);
+        let (work, critical) = phase_split(&[7, 1, 4, 4], 1);
         assert_eq!(work, critical);
-        assert_eq!(R::phase_nanos(&[], 4), (0, 0));
+        assert_eq!(phase_split(&[], 4), (0, 0));
     }
 
     #[test]
     fn critical_path_is_bounded_by_total_work() {
-        let n = 10;
-        let topo = Topology::partial_mesh(n, 4);
-        let mut par: ParallelRunner<GSet<u64>, BpRrDelta<GSet<u64>>> =
-            ParallelRunner::new(topo, SizeModel::compact(), 4);
-        par.run(&mut unique_adds(n, 6), 6);
-        par.run_to_convergence(64).unwrap();
+        let par = sharded(ProtocolKind::BpRr, Topology::partial_mesh(10, 4), 4, 6);
         let m = par.metrics();
         assert!(m.total_cpu_nanos() > 0);
         assert!(m.total_critical_path_nanos() > 0);
@@ -402,16 +157,10 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let n = 9;
-        let events = 6;
         let run = |threads: usize| {
-            let topo = Topology::binary_tree(n);
-            let mut par: ParallelRunner<GSet<u64>, BpRrDelta<GSet<u64>>> =
-                ParallelRunner::new(topo, SizeModel::compact(), threads);
-            par.run(&mut unique_adds(n, events), events);
-            par.run_to_convergence(64).unwrap();
+            let par = sharded(ProtocolKind::BpRr, Topology::binary_tree(9), threads, 6);
             (
-                par.node(ReplicaId(0)).state().clone(),
+                par.object_state(ReplicaId(0), &0).cloned(),
                 par.metrics().total_elements(),
             )
         };

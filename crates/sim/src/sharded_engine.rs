@@ -1,71 +1,65 @@
-//! The unified sharded runner: per-object engines of **any**
-//! [`ProtocolKind`], thread-parallel, scenario-capable, with
-//! per-destination envelope batching.
+//! The sharded runner: one [`StoreReplica`] per node, so every object
+//! carries its own engine of **any** [`ProtocolKind`] — the paper's Retwis
+//! granularity (one independent δ-buffer per object, §V-C) at 30 K-object
+//! scale — driven in thread-parallel phases, scenario-capable, with
+//! per-destination envelope batching:
 //!
-//! [`crate::ShardedDeltaRunner`] runs the paper's Retwis granularity (one
-//! independent δ-buffer per object, §V-C) but is hard-wired to
-//! `DeltaSync`, single-threaded, and fault-free. This runner closes that
-//! gap by combining the workspace's three orthogonal subsystems:
-//!
-//! * **protocol-generic** — every object is a `Box<dyn SyncEngine + Send>`
-//!   built by [`crdt_sync::build_engine_send_with_model`], so the same
-//!   runner drives all nine [`ProtocolKind`]s at 30 K-object scale;
-//! * **thread-parallel** — nodes share nothing within a phase, so the
-//!   expensive phases parallelize across nodes exactly like
-//!   [`crate::ParallelRunner`]'s deterministic phase model: contiguous
-//!   node chunks per thread, delivery grouped by recipient, replies
-//!   looping to quiescence. Deterministic accounting is identical across
-//!   thread counts;
+//! * **protocol-generic** — a node is a `delta_store::StoreReplica`, the
+//!   same keyspace type the in-process `delta_store::Cluster` and
+//!   `crdt-net`'s socket nodes host, so the runner drives all nine
+//!   [`ProtocolKind`]s;
+//! * **thread-parallel** — nodes share nothing within a phase, so every
+//!   phase runs contiguous node chunks per thread, delivery grouped by
+//!   recipient, replies looping to quiescence. Deterministic accounting
+//!   is identical across thread counts;
 //! * **batched** — all of one node's per-object envelopes bound for one
 //!   recipient in a round coalesce into a single
-//!   [`crdt_sync::BatchEnvelope`] wire frame (the same frame
-//!   `delta-store`'s transport ships), so [`RoundMetrics::messages`] is
-//!   O(links) per round, independent of object count, while
+//!   [`crdt_sync::BatchEnvelope`] wire frame (the frame `delta-store`'s
+//!   transport ships), so [`RoundMetrics::messages`] is O(links) per
+//!   round, independent of object count, while
 //!   [`RoundMetrics::envelopes`] keeps counting per-object protocol
 //!   envelopes — their ratio is the batch-amortization factor;
 //! * **scenario-capable** — [`crate::ScenarioEvent`]s apply at the *node*
 //!   level across all of its objects: a crash takes every shard down (a
-//!   non-durable one wipes them), a heal repairs every object pairwise, a
-//!   join bootstraps the full keyspace. Link-level fault overlays need
-//!   the seeded [`crate::Network`] fabric and stay with
-//!   [`crate::DynRunner`].
+//!   non-durable one wipes them), a heal or restart repairs the pair with
+//!   `delta_store::repair_pair` (the store cluster's repair), a join
+//!   bootstraps the full keyspace. Link-level fault overlays need the
+//!   seeded [`crate::Network`] fabric and stay with [`crate::DynRunner`].
+//!
+//! Protocol CPU ([`RoundMetrics::cpu_nanos`]) covers each whole replica
+//! call: op encoding, the engine callbacks, and envelope encode/decode on
+//! the type-erased path. The runner's own framing accounting and routing
+//! between nodes is [`RoundMetrics::workload_nanos`].
 //!
 //! At `threads = 1` with a δ-kind, deterministic accounting (elements,
 //! payload/metadata bytes, memory, per-object envelopes) is byte-identical
-//! to [`crate::ShardedDeltaRunner`] — the parity property test in
-//! `tests/sharded_engine_parity.rs` pins that.
+//! to a runner of generic per-object `DeltaSync` instances — the parity
+//! property test in `tests/sharded_engine_parity.rs` pins that.
 
 use std::collections::BTreeMap;
-use std::marker::PhantomData;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crdt_lattice::{ReplicaId, SizeModel, Sizeable, WireEncode};
 use crdt_obs::{EventKind, Obs};
-use crdt_sync::digest::{digest_repair_deltas, PairSyncStats};
-use crdt_sync::{
-    build_engine_send_with_model, diff_keys, BatchEnvelope, BufferPool, DeltaMsg, Measured,
-    MerkleRepairMetrics, MerkleTree, OpBytes, Params, ProtocolKind, SyncEngine, WireAccounting,
-    WireEnvelope, DEFAULT_MERKLE_DEPTH, MERKLE_REPAIR_THRESHOLD,
-};
+use crdt_sync::digest::PairSyncStats;
+use crdt_sync::{BatchEnvelope, Measured, MemoryUsage, MerkleRepairMetrics, Params, ProtocolKind};
 use crdt_types::Crdt;
+use delta_store::{PairRepair, RepairMode, StoreConfig, StoreReplica};
 
 use crate::metrics::{phase_split, RoundMetrics, RunMetrics};
+use crate::parallel::par_map_chunked as par_map;
 use crate::scenario::ScenarioEvent;
-use crate::sharded::KeyedOp;
 use crate::topology::{DynamicTopology, Topology};
 
-/// One node's keyspace: object key → that object's type-erased engine.
-type EngineMap<K> = BTreeMap<K, Box<dyn SyncEngine + Send>>;
+/// A keyed operation: which object, and what to do to it.
+pub type KeyedOp<K, C> = (K, <C as Crdt>::Op);
 
-/// One node's phase output: driver (routing/framing) nanos, protocol
-/// nanos, and per-destination batches.
-type PhaseOutput<K> = (u64, u64, Vec<(ReplicaId, BatchEnvelope<K>)>);
+/// One node's phase output: protocol nanos and per-destination batches.
+type PhaseOutput<K> = (u64, Vec<(ReplicaId, BatchEnvelope<K>)>);
 
 /// A batch in flight: `(from, to, frame)`.
 type InFlight<K> = (ReplicaId, ReplicaId, BatchEnvelope<K>);
-
-use crate::parallel::{par_map_chunked as par_map, par_map_chunked_ctx as par_map_ctx};
 
 /// Runner-level observability: registry cells the driver bumps plus
 /// the trace-event hook. Attached via
@@ -105,20 +99,13 @@ pub fn register_runner_metrics(reg: &crdt_obs::Registry) {
     let _ = runner_cells(reg);
 }
 
-/// The unified sharded runner (see module docs).
+/// The sharded runner (see module docs).
 #[derive(Debug)]
 pub struct ShardedEngineRunner<K: Ord, C: Crdt> {
-    kind: ProtocolKind,
+    cfg: StoreConfig,
     topo: DynamicTopology,
-    model: SizeModel,
-    params: Params,
     threads: usize,
-    nodes: Vec<EngineMap<K>>,
-    /// Per-worker encode scratch, round-robin across rounds: worker `w`
-    /// owns `pools[w]` for every phase it runs, so steady-state rounds
-    /// reuse the same buffers instead of allocating per envelope (see
-    /// `crdt_sync::BufferPool`). Grown lazily by the chunked par-map.
-    pools: Vec<BufferPool>,
+    nodes: Vec<StoreReplica<K, C>>,
     metrics: RunMetrics,
     /// Cumulative out-of-band recovery traffic (digest repair and
     /// bootstrap transfers).
@@ -131,7 +118,6 @@ pub struct ShardedEngineRunner<K: Ord, C: Crdt> {
     round: usize,
     /// Observability hook, attached via [`ShardedEngineRunner::set_obs`].
     obs: Option<RunnerObs>,
-    _crdt: PhantomData<fn() -> C>,
 }
 
 impl<K, C> ShardedEngineRunner<K, C>
@@ -145,21 +131,20 @@ where
     /// lazily at `⊥` when first updated or received.
     pub fn new(kind: ProtocolKind, topology: Topology, model: SizeModel, threads: usize) -> Self {
         let n = topology.len();
+        let cfg = StoreConfig::new(kind).with_model(model);
         ShardedEngineRunner {
-            kind,
+            cfg,
             topo: DynamicTopology::new(topology),
-            model,
-            params: Params::new(n),
             threads: threads.max(1),
-            nodes: (0..n).map(|_| BTreeMap::new()).collect(),
-            pools: Vec::new(),
+            nodes: (0..n)
+                .map(|i| StoreReplica::with_params(ReplicaId::from(i), cfg, Params::new(n)))
+                .collect(),
             metrics: RunMetrics::new(n),
             repair: PairSyncStats::default(),
             undeliverable: 0,
             durability: vec![true; n],
             round: 0,
             obs: None,
-            _crdt: PhantomData,
         }
     }
 
@@ -179,7 +164,7 @@ where
 
     /// The protocol every object runs.
     pub fn kind(&self) -> ProtocolKind {
-        self.kind
+        self.cfg.protocol
     }
 
     /// The (base) topology driving this run.
@@ -219,28 +204,7 @@ where
 
     /// A node's replica of one object, typed, if it exists.
     pub fn object_state(&self, node: ReplicaId, key: &K) -> Option<&C> {
-        self.nodes[node.index()]
-            .get(key)
-            .map(|e| Self::typed_state(e.as_ref()))
-    }
-
-    fn typed_state(engine: &dyn SyncEngine) -> &C {
-        engine
-            .state_any()
-            .downcast_ref::<C>()
-            .expect("runner engines are always built over C")
-    }
-
-    fn engine_at<'a>(
-        map: &'a mut EngineMap<K>,
-        key: &K,
-        node: ReplicaId,
-        kind: ProtocolKind,
-        params: &Params,
-        model: SizeModel,
-    ) -> &'a mut Box<dyn SyncEngine + Send> {
-        map.entry(key.clone())
-            .or_insert_with(|| build_engine_send_with_model::<C>(kind, node, params, model))
+        self.nodes[node.index()].get(key.clone())
     }
 
     fn account_batch(rm: &mut RoundMetrics, batch: &BatchEnvelope<K>, model: &SizeModel) {
@@ -251,10 +215,41 @@ where
         rm.metadata_bytes += batch.metadata_bytes(model);
     }
 
+    /// Charge one phase's per-node protocol nanos to `rm`.
+    fn charge_cpu(rm: &mut RoundMetrics, cpu: &[u64], threads: usize) {
+        let (work, critical) = phase_split(cpu, threads);
+        rm.cpu_nanos += work;
+        rm.critical_path_nanos += critical;
+    }
+
+    /// Charge one phase's outputs to `rm` and put its batches in flight.
+    /// Accounting and queueing the frames is driver work
+    /// (`workload_nanos`).
+    fn ship(
+        rm: &mut RoundMetrics,
+        outputs: Vec<PhaseOutput<K>>,
+        threads: usize,
+        model: &SizeModel,
+    ) -> Vec<InFlight<K>> {
+        let t_route = Instant::now();
+        let mut wave = Vec::new();
+        let mut cpu = Vec::with_capacity(outputs.len());
+        for (i, (nanos, batches)) in outputs.into_iter().enumerate() {
+            cpu.push(nanos);
+            for (to, batch) in batches {
+                Self::account_batch(rm, &batch, model);
+                wave.push((ReplicaId::from(i), to, batch));
+            }
+        }
+        rm.workload_nanos += t_route.elapsed().as_nanos() as u64;
+        Self::charge_cpu(rm, &cpu, threads);
+        wave
+    }
+
     /// Run one round: apply this round's keyed ops, synchronize every
     /// object, deliver per-destination batches (and push-pull replies) to
-    /// quiescence, snapshot memory — the four phases of every runner in
-    /// this crate, each parallelized across nodes.
+    /// quiescence, snapshot memory — four phases, each parallelized
+    /// across nodes.
     ///
     /// `ops_per_node` may be *shorter* than the current node count:
     /// replicas that joined after the trace was materialized simply
@@ -277,88 +272,38 @@ where
                 0,
             );
         }
-        let (kind, params, model, threads) = (self.kind, self.params, self.model, self.threads);
+        let (model, threads) = (self.cfg.model, self.threads);
         let topo = &self.topo;
 
         // Phase 1: local operations, routed to their object, in parallel
-        // across nodes. Encoding and shard routing are driver work
-        // (workload_nanos); only `on_op` is protocol CPU.
-        let timings: Vec<(u64, u64)> = par_map(&mut self.nodes, threads, |i, shards| {
-            let node = ReplicaId::from(i);
-            if !topo.is_alive(node) {
-                return (0, 0);
+        // across nodes.
+        let cpu: Vec<u64> = par_map(&mut self.nodes, threads, |i, replica| {
+            if !topo.is_alive(ReplicaId::from(i)) {
+                return 0;
             }
-            let (mut route, mut cpu) = (0u64, 0u64);
-            let ops = ops_per_node.get(i).map_or(&[][..], Vec::as_slice);
-            for (key, op) in ops {
-                let t_route = Instant::now();
-                let bytes = OpBytes::encode(op);
-                let engine = Self::engine_at(shards, key, node, kind, &params, model);
-                route += t_route.elapsed().as_nanos() as u64;
-                let t0 = Instant::now();
-                engine
-                    .on_op(&bytes)
-                    .expect("engine rejected its own CRDT's op encoding");
-                cpu += t0.elapsed().as_nanos() as u64;
+            let t0 = Instant::now();
+            for (key, op) in ops_per_node.get(i).map_or(&[][..], Vec::as_slice) {
+                replica.update(key.clone(), op);
             }
-            (route, cpu)
+            t0.elapsed().as_nanos() as u64
         });
-        rm.workload_nanos += timings.iter().map(|(r, _)| r).sum::<u64>();
-        let cpu: Vec<u64> = timings.iter().map(|(_, c)| *c).collect();
-        let (work, critical) = phase_split(&cpu, threads);
-        rm.cpu_nanos += work;
-        rm.critical_path_nanos += critical;
+        Self::charge_cpu(&mut rm, &cpu, threads);
 
         // Phase 2: per-object synchronization at every live node, in
         // parallel; each node coalesces everything bound for one
         // neighbor into a single batch frame. Senders address their full
         // neighbor list — crashes and cuts are not learned synchronously;
         // undeliverable frames are discarded in phase 3.
-        // Per node: (framing nanos, protocol nanos, batches). Only the
-        // `on_sync` callbacks are protocol CPU; coalescing envelopes
-        // into per-destination frames (key clones, map inserts) is
-        // driver work, metered as workload_nanos — the same split every
-        // other phase and runner uses, so cpu_nanos stays comparable
-        // across runners.
-        let sync_out: Vec<PhaseOutput<K>> = par_map_ctx(
-            &mut self.nodes,
-            threads,
-            &mut self.pools,
-            BufferPool::new,
-            |i, shards, pool| {
-                let node = ReplicaId::from(i);
-                if !topo.is_alive(node) {
-                    return (0, 0, Vec::new());
-                }
-                let targets = topo.base().neighbors(node).to_vec();
-                let (mut route, mut cpu) = (0u64, 0u64);
-                let mut batches: BTreeMap<ReplicaId, BatchEnvelope<K>> = BTreeMap::new();
-                for (key, engine) in shards.iter_mut() {
-                    let t0 = Instant::now();
-                    let out = engine.on_sync_pooled(&targets, pool);
-                    cpu += t0.elapsed().as_nanos() as u64;
-                    let t_route = Instant::now();
-                    for env in out {
-                        batches.entry(env.to).or_default().push(key.clone(), env);
-                    }
-                    route += t_route.elapsed().as_nanos() as u64;
-                }
-                (route, cpu, batches.into_iter().collect())
-            },
-        );
-        let mut wave: Vec<InFlight<K>> = Vec::new();
-        let mut phase: Vec<u64> = Vec::with_capacity(sync_out.len());
-        for (i, (route, cpu, batches)) in sync_out.into_iter().enumerate() {
-            rm.workload_nanos += route;
-            phase.push(cpu);
-            for (to, batch) in batches {
-                Self::account_batch(&mut rm, &batch, &model);
-                wave.push((ReplicaId::from(i), to, batch));
+        let sync_out: Vec<PhaseOutput<K>> = par_map(&mut self.nodes, threads, |i, replica| {
+            let node = ReplicaId::from(i);
+            if !topo.is_alive(node) {
+                return (0, Vec::new());
             }
-        }
-        let (work, critical) = phase_split(&phase, threads);
-        rm.cpu_nanos += work;
-        rm.critical_path_nanos += critical;
+            let t0 = Instant::now();
+            let batches = replica.sync_step(topo.base().neighbors(node));
+            (t0.elapsed().as_nanos() as u64, batches)
+        });
+        let mut wave = Self::ship(&mut rm, sync_out, threads, &model);
 
         // Phase 3: delivery waves until quiescence. Each recipient
         // absorbs its inbox (in deterministic (sender, emission) order)
@@ -366,9 +311,9 @@ where
         // destination and ride the next wave. Frames to down nodes or
         // across an active partition are dropped.
         while !wave.is_empty() {
-            let n = self.nodes.len();
-            let mut inboxes: Vec<Vec<InFlight<K>>> = Vec::with_capacity(n);
-            inboxes.resize_with(n, Vec::new);
+            let t_route = Instant::now();
+            let mut inboxes: Vec<Vec<BatchEnvelope<K>>> = Vec::with_capacity(self.nodes.len());
+            inboxes.resize_with(self.nodes.len(), Vec::new);
             for (from, to, batch) in wave.drain(..) {
                 if !topo.link_open(from, to) {
                     self.undeliverable += 1;
@@ -377,85 +322,55 @@ where
                     }
                     continue;
                 }
-                inboxes[to.index()].push((from, to, batch));
+                inboxes[to.index()].push(batch);
             }
-            let inboxes_ref = Mutex::new(inboxes);
-            // Shard lookup and lazy engine construction are driver work,
-            // metered apart from the `on_msg` callbacks — the same split
-            // as phase 1 and `ShardedDeltaRunner`'s delivery phase.
-            let replies: Vec<PhaseOutput<K>> = par_map_ctx(
-                &mut self.nodes,
-                threads,
-                &mut self.pools,
-                BufferPool::new,
-                |i, shards, pool| {
-                    let inbox = {
-                        let mut guard = inboxes_ref.lock().expect("inbox lock");
-                        std::mem::take(&mut guard[i])
-                    };
-                    if inbox.is_empty() {
-                        return (0, 0, Vec::new());
-                    }
-                    let node = ReplicaId::from(i);
-                    let (mut route, mut cpu) = (0u64, 0u64);
-                    let mut batches: BTreeMap<ReplicaId, BatchEnvelope<K>> = BTreeMap::new();
-                    for (_, _, batch) in inbox {
-                        for (key, env) in batch.entries {
-                            let t_route = Instant::now();
-                            let engine = Self::engine_at(shards, &key, node, kind, &params, model);
-                            route += t_route.elapsed().as_nanos() as u64;
-                            let t0 = Instant::now();
-                            let out = engine
-                                .on_msg_pooled(env, pool)
-                                .expect("uniform-protocol run cannot mismatch kinds");
-                            cpu += t0.elapsed().as_nanos() as u64;
-                            for reply in out {
-                                batches
-                                    .entry(reply.to)
-                                    .or_default()
-                                    .push(key.clone(), reply);
-                            }
-                        }
-                    }
-                    (route, cpu, batches.into_iter().collect())
-                },
-            );
-            let mut phase: Vec<u64> = Vec::with_capacity(replies.len());
-            for (i, (route, cpu, batches)) in replies.into_iter().enumerate() {
-                rm.workload_nanos += route;
-                phase.push(cpu);
-                for (to, batch) in batches {
-                    Self::account_batch(&mut rm, &batch, &model);
-                    wave.push((ReplicaId::from(i), to, batch));
+            rm.workload_nanos += t_route.elapsed().as_nanos() as u64;
+            let inboxes = Mutex::new(inboxes);
+            let replies: Vec<PhaseOutput<K>> = par_map(&mut self.nodes, threads, |i, replica| {
+                let inbox = std::mem::take(&mut inboxes.lock().expect("inbox lock")[i]);
+                if inbox.is_empty() {
+                    return (0, Vec::new());
                 }
-            }
-            let (work, critical) = phase_split(&phase, threads);
-            rm.cpu_nanos += work;
-            rm.critical_path_nanos += critical;
+                let t0 = Instant::now();
+                // Every reply bound for one peer in this wave rides one
+                // frame, whichever inbound batch it answers.
+                let mut batches: BTreeMap<ReplicaId, BatchEnvelope<K>> = BTreeMap::new();
+                for batch in inbox {
+                    let out = replica
+                        .absorb(batch)
+                        .expect("uniform-protocol run cannot mismatch kinds");
+                    for (to, reply) in out {
+                        batches.entry(to).or_default().entries.extend(reply.entries);
+                    }
+                }
+                (
+                    t0.elapsed().as_nanos() as u64,
+                    batches.into_iter().collect(),
+                )
+            });
+            wave = Self::ship(&mut rm, replies, threads, &model);
         }
 
         // Phase 4: memory snapshot over live nodes (a down process
-        // occupies no memory), in parallel. Keys are charged to CRDT
-        // bytes exactly like `ShardedDeltaRunner` — parity depends on it.
-        let mems: Vec<(u64, u64, u64, u64)> = par_map(&mut self.nodes, threads, |i, shards| {
+        // occupies no memory), in parallel. The store charges key
+        // storage to metadata; this runner charges it to CRDT bytes, per
+        // object, like the generic per-object reference — parity depends
+        // on it.
+        let mems: Vec<MemoryUsage> = par_map(&mut self.nodes, threads, |i, replica| {
             if !topo.is_alive(ReplicaId::from(i)) {
-                return (0, 0, 0, 0);
+                return MemoryUsage::default();
             }
-            let mut acc = (0, 0, 0, 0);
-            for (key, engine) in shards.iter() {
-                let m = engine.memory();
-                acc.0 += m.crdt_elements;
-                acc.1 += m.crdt_bytes + key.payload_bytes(&model);
-                acc.2 += m.meta_elements;
-                acc.3 += m.meta_bytes;
-            }
-            acc
+            let mut m = replica.memory();
+            let keys: u64 = replica.keys().map(|k| k.payload_bytes(&model)).sum();
+            m.crdt_bytes += keys;
+            m.meta_bytes -= keys;
+            m
         });
-        for (ce, cb, me, mb) in mems {
-            rm.memory.crdt_elements += ce;
-            rm.memory.crdt_bytes += cb;
-            rm.memory.meta_elements += me;
-            rm.memory.meta_bytes += mb;
+        for m in mems {
+            rm.memory.crdt_elements += m.crdt_elements;
+            rm.memory.crdt_bytes += m.crdt_bytes;
+            rm.memory.meta_elements += m.meta_elements;
+            rm.memory.meta_bytes += m.meta_bytes;
         }
 
         if let Some(o) = &self.obs {
@@ -479,22 +394,15 @@ where
             return true;
         };
         let reference = &self.nodes[first.index()];
-        rest.iter().all(|&id| {
-            let node = &self.nodes[id.index()];
-            node.len() == reference.len()
-                && node
-                    .iter()
-                    .zip(reference.iter())
-                    .all(|((k1, e1), (k2, e2))| k1 == k2 && e1.state_eq(e2.as_ref()))
-        })
+        rest.iter()
+            .all(|&id| self.nodes[id.index()].iter().eq(reference.iter()))
     }
 
     /// Keep synchronizing without new ops until convergence (or give up
-    /// after `max_rounds`). Returns the extra rounds taken — the exact
-    /// contract of [`crate::ShardedDeltaRunner::run_to_convergence`]
-    /// (`None` once the budget is exhausted, even if the final step
-    /// happened to converge), which the parity property test compares
-    /// round for round.
+    /// after `max_rounds`). Returns the extra rounds taken (`None` once
+    /// the budget is exhausted, even if the final step happened to
+    /// converge) — the contract the parity property test compares round
+    /// for round.
     pub fn run_to_convergence(&mut self, max_rounds: usize) -> Option<usize> {
         let idle: Vec<Vec<KeyedOp<K, C>>> = vec![Vec::new(); self.nodes.len()];
         for extra in 0..=max_rounds {
@@ -558,7 +466,7 @@ where
             ScenarioEvent::Restart { node } => {
                 let id = ReplicaId::from(*node);
                 self.topo.set_alive(id, true);
-                if self.durability[*node] && self.kind.recovers_from_loss() {
+                if self.durability[*node] && self.cfg.protocol.recovers_from_loss() {
                     return;
                 }
                 let peer = {
@@ -592,7 +500,7 @@ where
         self.topo.set_alive(node, false);
         self.durability[node.index()] = durable;
         if !durable {
-            self.nodes[node.index()].clear();
+            self.nodes[node.index()].reset();
         }
         if let Some(o) = &self.obs {
             o.obs.trace(
@@ -627,17 +535,16 @@ where
     /// Returns the joiner's id.
     pub fn join_node(&mut self, links: &[ReplicaId], bootstrap: Option<ReplicaId>) -> ReplicaId {
         let new = self.topo.join(links);
-        self.params.n_nodes = self.topo.len();
-        self.metrics.n_nodes = self.topo.len();
+        let n = self.topo.len();
+        self.metrics.n_nodes = n;
         self.durability.push(true);
-        // Existing engines learn the new size before the joiner is heard
+        // Existing replicas learn the new size before the joiner is heard
         // from (Scuttlebutt-GC safe-delete safety).
-        for shards in &mut self.nodes {
-            for engine in shards.values_mut() {
-                engine.set_system_size(self.params.n_nodes);
-            }
+        for replica in &mut self.nodes {
+            replica.set_system_size(n);
         }
-        self.nodes.push(BTreeMap::new());
+        self.nodes
+            .push(StoreReplica::with_params(new, self.cfg, Params::new(n)));
         if let Some(peer) = bootstrap {
             self.repair_pair(new, peer);
         }
@@ -673,10 +580,10 @@ where
                 reps.len() as u64,
             );
         }
-        if reps.len() < 2 || self.kind.recovers_from_loss() {
+        if reps.len() < 2 || self.cfg.protocol.recovers_from_loss() {
             return;
         }
-        let peers: Vec<ReplicaId> = if self.kind.accepts_raw_delta() {
+        let peers: Vec<ReplicaId> = if self.cfg.protocol.accepts_raw_delta() {
             reps[1..].to_vec()
         } else {
             self.topo
@@ -692,134 +599,36 @@ where
         }
     }
 
-    /// Pairwise repair between two live replicas, per object — the §VI
-    /// mechanism at sharded granularity. δ-group kinds run digest-driven
-    /// repair per object (only missing join-irreducibles cross the wire,
-    /// re-entering the ordinary receive path so novelty keeps
-    /// propagating); the remaining kinds bootstrap per object, protocol
+    /// Pairwise repair between two live replicas, per object, through
+    /// `delta_store::repair_pair` — the same session
+    /// `delta_store::Cluster::merkle_repair` runs. δ-group kinds run the
+    /// §VI digest handshake (after a Merkle descent once either keyspace
+    /// reaches `crdt_sync::MERKLE_REPAIR_THRESHOLD` objects); repaired
+    /// deltas re-enter the ordinary receive path, so novelty keeps
+    /// propagating. The remaining kinds bootstrap per object, protocol
     /// metadata included. Traffic lands in
     /// [`ShardedEngineRunner::repair_stats`].
     pub fn repair_pair(&mut self, a: ReplicaId, b: ReplicaId) {
-        assert_ne!(a, b, "repair needs two distinct replicas");
+        let mode = if self.cfg.protocol.accepts_raw_delta() {
+            RepairMode::merkle()
+        } else {
+            RepairMode::Bootstrap
+        };
+        let PairRepair { stats, descent } =
+            delta_store::repair_pair(&mut self.nodes, a.index(), b.index(), mode);
+        self.repair += stats;
         if let Some(o) = &self.obs {
             o.repair.pairs.inc();
-        }
-        if self.kind.accepts_raw_delta() {
-            let union: std::collections::BTreeSet<K> = self.nodes[a.index()]
-                .keys()
-                .chain(self.nodes[b.index()].keys())
-                .cloned()
-                .collect();
-            // At scale, localize the divergence with a Merkle descent
-            // first (O(log n · diverged) control frames, charged as
-            // repair metadata) and run the per-object protocol over only
-            // the diverged keys; small keyspaces keep the plain sweep,
-            // whose accounting the scenario baselines pin.
-            let keys: Vec<K> = if union.len() >= MERKLE_REPAIR_THRESHOLD {
-                let tree = |node: &EngineMap<K>| {
-                    MerkleTree::build(
-                        DEFAULT_MERKLE_DEPTH,
-                        node.iter().map(|(k, e)| (k.clone(), e.state_hash())),
-                    )
-                };
-                let (diverged, descent) =
-                    diff_keys(&tree(&self.nodes[a.index()]), &tree(&self.nodes[b.index()]));
-                self.repair.messages += descent.frames as u32;
-                self.repair.metadata_bytes += descent.total_bytes();
-                if let Some(o) = &self.obs {
-                    o.repair.charge(&descent);
-                    o.obs.trace(
-                        a.index() as u64,
-                        EventKind::RepairHop,
-                        descent.rounds,
-                        descent.total_bytes(),
-                    );
-                }
-                diverged.into_iter().collect()
-            } else {
-                union.into_iter().collect()
-            };
-            for key in keys {
-                let (delta_for_a, delta_for_b, stats) = {
-                    let bottom = C::bottom();
-                    let xa = self.object_state(a, &key).unwrap_or(&bottom);
-                    let xb = self.object_state(b, &key).unwrap_or(&bottom);
-                    digest_repair_deltas(xa, xb, &self.model)
-                };
-                self.repair.messages += stats.messages;
-                self.repair.payload_elements += stats.payload_elements;
-                self.repair.payload_bytes += stats.payload_bytes;
-                self.repair.metadata_bytes += stats.metadata_bytes;
-                if !delta_for_a.is_bottom() {
-                    self.inject_delta(b, a, &key, delta_for_a);
-                }
-                if !delta_for_b.is_bottom() {
-                    self.inject_delta(a, b, &key, delta_for_b);
-                }
-            }
-        } else {
-            self.bootstrap_pair(a, b);
-        }
-    }
-
-    /// Bidirectional out-of-band snapshot exchange between `a` and `b`,
-    /// object by object (engines created at `⊥` for keys only one side
-    /// holds). Each direction is one batched snapshot frame in the
-    /// repair accounting.
-    fn bootstrap_pair(&mut self, a: ReplicaId, b: ReplicaId) {
-        assert_ne!(a, b, "bootstrap needs two distinct replicas");
-        let (kind, params, model) = (self.kind, self.params, self.model);
-        for (dst, src) in [(a, b), (b, a)] {
-            let keys: Vec<K> = self.nodes[src.index()].keys().cloned().collect();
-            if keys.is_empty() {
-                continue;
-            }
-            let (lo, hi) = (dst.index().min(src.index()), dst.index().max(src.index()));
-            let (left, right) = self.nodes.split_at_mut(hi);
-            let (dst_map, src_map) = if dst.index() < src.index() {
-                (&mut left[lo], &mut right[0])
-            } else {
-                (&mut right[0], &mut left[lo])
-            };
-            self.repair.messages += 1;
-            for key in keys {
-                let source = src_map.get(&key).expect("key listed from src");
-                let acc = Self::engine_at(dst_map, &key, dst, kind, &params, model)
-                    .bootstrap_from(source.as_ref())
-                    .expect("uniform-protocol run cannot mismatch kinds");
-                self.repair.payload_elements += acc.payload_elements;
-                self.repair.payload_bytes += acc.payload_bytes;
+            if let Some(descent) = descent {
+                o.repair.charge(&descent);
+                o.obs.trace(
+                    a.index() as u64,
+                    EventKind::RepairHop,
+                    descent.rounds,
+                    descent.total_bytes(),
+                );
             }
         }
-    }
-
-    /// Feed a repaired δ-group for `key` into `to`'s engine as if `from`
-    /// had sent it, through the ordinary receive path.
-    fn inject_delta(&mut self, from: ReplicaId, to: ReplicaId, key: &K, delta: C) {
-        let msg = DeltaMsg(delta);
-        let payload = msg.to_bytes();
-        let accounting = WireAccounting {
-            payload_elements: msg.payload_elements(),
-            payload_bytes: msg.payload_bytes(&self.model),
-            metadata_bytes: msg.metadata_bytes(&self.model),
-            encoded_bytes: payload.len() as u64,
-        };
-        let env = WireEnvelope {
-            from,
-            to,
-            kind: self.kind,
-            payload: payload.into(),
-            accounting,
-        };
-        let (kind, params, model) = (self.kind, self.params, self.model);
-        if self.pools.is_empty() {
-            self.pools.push(BufferPool::new());
-        }
-        let pool = &mut self.pools[0];
-        let replies = Self::engine_at(&mut self.nodes[to.index()], key, to, kind, &params, model)
-            .on_msg_pooled(env, pool)
-            .expect("raw delta injection matches the configured protocol");
-        debug_assert!(replies.is_empty(), "delta-family kinds never reply");
     }
 }
 
@@ -1023,6 +832,83 @@ mod tests {
         r.run_to_convergence(16).expect("grown cluster converges");
         assert_eq!(r.membership().len(), 4);
         assert_eq!(r.objects_at(ReplicaId(3)), 3, "joiner caught up");
+    }
+
+    #[test]
+    fn objects_sync_independently() {
+        let mut r: R = ShardedEngineRunner::new(
+            ProtocolKind::BpRr,
+            Topology::line(3),
+            SizeModel::compact(),
+            1,
+        );
+        // Node 0 updates object 1; node 2 updates object 2.
+        r.step(&keyed(3, &[(0, 1, 100), (2, 2, 200)]));
+        let extra = r.run_to_convergence(10).expect("converges");
+        assert!(extra >= 1);
+        assert_eq!(r.object_state(ReplicaId(1), &1).unwrap().len(), 1);
+        assert_eq!(r.object_state(ReplicaId(1), &2).unwrap().len(), 1);
+        assert_eq!(r.objects_at(ReplicaId(0)), 2);
+    }
+
+    #[test]
+    fn classic_drops_redundant_cold_objects() {
+        // One object updated at one node, propagating through a cycle:
+        // classic's inflation check drops the second-path copy, so per
+        // object granularity keeps classic near-optimal at low contention.
+        let run = |kind: ProtocolKind| {
+            let mut r: R =
+                ShardedEngineRunner::new(kind, Topology::ring(4), SizeModel::compact(), 1);
+            r.step(&keyed(4, &[(0, 7, 1)]));
+            r.run_to_convergence(10).unwrap();
+            r.metrics().total_elements()
+        };
+        let (c, b) = (run(ProtocolKind::Classic), run(ProtocolKind::BpRr));
+        // A single uncontended update: classic ≈ BP+RR (within 2x).
+        assert!(c <= b * 2, "classic {c} vs bp+rr {b}");
+    }
+
+    #[test]
+    fn classic_snowballs_on_hot_objects() {
+        // All nodes update the SAME object every round on a cyclic mesh:
+        // the paper's high-contention regime. Classic must transmit far
+        // more than BP+RR.
+        let run = |kind: ProtocolKind| {
+            let mut r: R = ShardedEngineRunner::new(
+                kind,
+                Topology::partial_mesh(8, 4),
+                SizeModel::compact(),
+                1,
+            );
+            for round in 0..12u64 {
+                let ops: RoundOps = (0..8)
+                    .map(|node| vec![(1u32, GSetOp::Add(round * 8 + node))])
+                    .collect();
+                r.step(&ops);
+            }
+            r.run_to_convergence(40).expect("converges");
+            r.into_metrics().total_elements()
+        };
+        let classic = run(ProtocolKind::Classic);
+        let bprr = run(ProtocolKind::BpRr);
+        assert!(
+            classic > bprr * 3,
+            "hot object must separate classic ({classic}) from BP+RR ({bprr})"
+        );
+    }
+
+    #[test]
+    fn memory_counts_all_shards() {
+        let mut r: R = ShardedEngineRunner::new(
+            ProtocolKind::Classic,
+            Topology::line(2),
+            SizeModel::compact(),
+            1,
+        );
+        r.step(&keyed(2, &[(0, 1, 10), (0, 2, 20)]));
+        let m = &r.metrics().rounds[0].memory;
+        assert!(m.crdt_elements >= 2);
+        assert!(m.meta_elements >= 2, "both deltas buffered");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Before the zero-copy refactor, every envelope's payload was its own
 //! `Vec<u8>` and every batch decode re-vectored every entry, so round
 //! cost scaled with the keyspace. With shared-`Bytes` payloads and
-//! per-worker `BufferPool`s, an idle (converged) round allocates only
+//! per-replica `BufferPool`s, an idle (converged) round allocates only
 //! the fixed per-phase plumbing, and an active round scales with the
 //! *touched* objects — both independent of how many objects exist.
 //!

@@ -5,11 +5,12 @@ use std::collections::BTreeSet;
 use std::hash::Hash;
 
 use crdt_lattice::{ReplicaId, Sizeable, WireEncode};
-use crdt_sync::digest::{digest_repair_deltas, PairSyncStats};
-use crdt_sync::{diff_keys, Params, MERKLE_REPAIR_THRESHOLD};
+use crdt_sync::digest::PairSyncStats;
+use crdt_sync::Params;
 use crdt_types::Crdt;
 
 use crate::metrics::TrafficStats;
+use crate::repair::{repair_pair, RepairMode};
 use crate::replica::{StoreConfig, StoreReplica};
 use crate::transport::{LoopbackTransport, Transport};
 
@@ -256,13 +257,14 @@ where
     }
 
     /// Bidirectional per-object snapshot exchange between two live
-    /// replicas (out-of-band state transfer).
+    /// replicas (out-of-band state transfer), the lower index first.
     pub fn bootstrap_pair(&mut self, a: usize, b: usize) {
-        assert_ne!(a, b, "bootstrap needs two distinct replicas");
-        let (lo, hi) = (a.min(b), a.max(b));
-        let (left, right) = self.replicas.split_at_mut(hi);
-        left[lo].bootstrap_from(&right[0]);
-        right[0].bootstrap_from(&left[lo]);
+        repair_pair(
+            &mut self.replicas,
+            a.min(b),
+            a.max(b),
+            RepairMode::Bootstrap,
+        );
     }
 
     /// A new replica joins the cluster, pushing to `links` (which start
@@ -373,56 +375,7 @@ where
     /// and op-based kinds carry their own recovery metadata and neither
     /// need nor accept digest injection.
     pub fn digest_repair(&mut self, a: usize, b: usize) -> PairSyncStats {
-        assert_ne!(a, b, "repair needs two distinct replicas");
-        assert!(
-            self.cfg.protocol.accepts_raw_delta(),
-            "digest repair applies to delta-family/state protocols; {} manages its own recovery",
-            self.cfg.protocol
-        );
-        let keys: BTreeSet<K> = self.replicas[a]
-            .keys()
-            .chain(self.replicas[b].keys())
-            .cloned()
-            .collect();
-        let mut total = PairSyncStats::default();
-        self.repair_keys(a, b, keys, &mut total);
-        total
-    }
-
-    /// Run the per-object digest protocol over exactly `keys`, folding
-    /// traffic into `total` and injecting each side's missing delta.
-    fn repair_keys(
-        &mut self,
-        a: usize,
-        b: usize,
-        keys: impl IntoIterator<Item = K>,
-        total: &mut PairSyncStats,
-    ) {
-        let model = self.cfg.model;
-        let id_a = self.replicas[a].id();
-        let id_b = self.replicas[b].id();
-        for key in keys {
-            // Run the 3-message protocol by reference to obtain the stats
-            // and each side's missing delta…
-            let (delta_for_a, delta_for_b, stats) = {
-                let bottom = C::bottom();
-                let xa = self.replicas[a].get(key.clone()).unwrap_or(&bottom);
-                let xb = self.replicas[b].get(key.clone()).unwrap_or(&bottom);
-                digest_repair_deltas(xa, xb, &model)
-            };
-            total.messages += stats.messages;
-            total.payload_elements += stats.payload_elements;
-            total.payload_bytes += stats.payload_bytes;
-            total.metadata_bytes += stats.metadata_bytes;
-            // …then feed each through the ordinary receive path (RR
-            // extraction + buffering for propagation).
-            if !delta_for_a.is_bottom() {
-                self.replicas[a].inject_delta(key.clone(), id_b, delta_for_a);
-            }
-            if !delta_for_b.is_bottom() {
-                self.replicas[b].inject_delta(key, id_a, delta_for_b);
-            }
-        }
+        repair_pair(&mut self.replicas, a, b, RepairMode::Sweep).stats
     }
 }
 
@@ -436,7 +389,8 @@ where
     /// Merkle-descent pairwise repair: localize divergence with a
     /// keyspace tree descent (O(log n · diverged) control frames), then
     /// run the §VI per-object digest protocol over **only** the diverged
-    /// keys. Keyspaces below [`MERKLE_REPAIR_THRESHOLD`] delegate to
+    /// keys. While both keyspaces are below
+    /// [`crdt_sync::MERKLE_REPAIR_THRESHOLD`] objects it is
     /// [`Cluster::digest_repair`] unchanged — per-object digests are
     /// already cheap there and their accounting stays byte-identical.
     ///
@@ -448,26 +402,7 @@ where
     /// Like [`Cluster::digest_repair`], if the configured protocol does
     /// not accept bare δ-groups.
     pub fn merkle_repair(&mut self, a: usize, b: usize) -> PairSyncStats {
-        assert_ne!(a, b, "repair needs two distinct replicas");
-        assert!(
-            self.cfg.protocol.accepts_raw_delta(),
-            "digest repair applies to delta-family/state protocols; {} manages its own recovery",
-            self.cfg.protocol
-        );
-        if self.replicas[a].len().max(self.replicas[b].len()) < MERKLE_REPAIR_THRESHOLD {
-            return self.digest_repair(a, b);
-        }
-        let mut total = PairSyncStats::default();
-        let diverged: BTreeSet<K> = {
-            let (lo, hi) = (a.min(b), a.max(b));
-            let (left, right) = self.replicas.split_at_mut(hi);
-            let (keys, descent) = diff_keys(left[lo].merkle(), right[0].merkle());
-            total.messages += descent.frames as u32;
-            total.metadata_bytes += descent.total_bytes();
-            keys
-        };
-        self.repair_keys(a, b, diverged, &mut total);
-        total
+        repair_pair(&mut self.replicas, a, b, RepairMode::merkle()).stats
     }
 }
 

@@ -28,7 +28,10 @@
 //!   replicas crash (durably or with state loss), restart with a
 //!   bootstrap exchange, and [`Cluster::join`] mid-run with a
 //!   state-transfer from a live peer; convergence runs report a
-//!   diagnostic [`ConvergenceReport`] instead of a bare option.
+//!   diagnostic [`ConvergenceReport`] instead of a bare option;
+//! * [`repair_pair`] — the pairwise keyspace repair (§VI digests,
+//!   localized by a Merkle descent at scale, or a snapshot bootstrap)
+//!   that [`Cluster`] and `crdt-sim`'s sharded runner both run.
 //!
 //! ## Quickstart
 //!
@@ -61,11 +64,13 @@
 mod cluster;
 mod message;
 mod metrics;
+mod repair;
 mod replica;
 mod transport;
 
 pub use cluster::{Cluster, ConvergenceReport};
 pub use message::StoreMsg;
 pub use metrics::TrafficStats;
+pub use repair::{repair_pair, PairRepair, RepairMode};
 pub use replica::{StoreConfig, StoreMetrics, StoreReplica};
 pub use transport::{LoopbackTransport, Transport};

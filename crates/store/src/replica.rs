@@ -5,6 +5,7 @@ use std::hash::Hash;
 use std::marker::PhantomData;
 
 use crdt_lattice::{ReplicaId, SizeModel, Sizeable, WireEncode};
+use crdt_sync::digest::PairSyncStats;
 use crdt_sync::{
     build_engine_send_with_model, BufferPool, DeltaMsg, EngineError, EngineMetrics, Measured,
     MemoryUsage, MerkleTree, OpBytes, Params, ProtocolKind, SyncEngine, WireAccounting,
@@ -360,21 +361,26 @@ where
     /// bootstrap the local engine (created at `⊥` if unknown) from the
     /// peer's — snapshot state plus protocol recovery metadata travel
     /// together (see [`crdt_sync::SyncEngine::bootstrap_from`]). Returns
-    /// the number of lattice elements shipped.
+    /// the traffic: one batched snapshot frame (none when `source` is
+    /// empty) and the lattice elements and payload bytes it carries.
     ///
     /// Both replicas must run the same [`StoreConfig`] protocol — the
     /// invariant [`crate::Cluster`] maintains by construction.
-    pub fn bootstrap_from(&mut self, source: &StoreReplica<K, C>) -> u64 {
-        let mut elements = 0;
+    pub fn bootstrap_from(&mut self, source: &StoreReplica<K, C>) -> PairSyncStats {
+        let mut stats = PairSyncStats {
+            messages: u32::from(!source.is_empty()),
+            ..PairSyncStats::default()
+        };
         for (key, engine) in &source.objects {
             self.merkle.touch(key.clone());
             let acc = self
                 .engine(key.clone())
                 .bootstrap_from(engine.as_ref())
                 .expect("uniform store cluster cannot mismatch protocols");
-            elements += acc.payload_elements;
+            stats.payload_elements += acc.payload_elements;
+            stats.payload_bytes += acc.payload_bytes;
         }
-        elements
+        stats
     }
 
     /// Memory snapshot summed over all objects (CRDT state + per-object

@@ -7,8 +7,8 @@
 
 use crdt_lattice::ReplicaId;
 use crdt_lattice::SizeModel;
-use crdt_sim::{ShardedDeltaRunner, Topology};
-use crdt_sync::DeltaConfig;
+use crdt_sim::{ShardedEngineRunner, Topology};
+use crdt_sync::ProtocolKind;
 use crdt_types::GSet;
 use crdt_workloads::{RetwisConfig, RetwisStore, RetwisTrace, Timeline, UserId, Wall};
 
@@ -34,12 +34,12 @@ fn main() {
     );
 
     // One sharded runner per object family, all BP+RR.
-    let mut followers: ShardedDeltaRunner<UserId, GSet<UserId>> =
-        ShardedDeltaRunner::new(topo.clone(), DeltaConfig::BP_RR, model);
-    let mut walls: ShardedDeltaRunner<UserId, Wall> =
-        ShardedDeltaRunner::new(topo.clone(), DeltaConfig::BP_RR, model);
-    let mut timelines: ShardedDeltaRunner<UserId, Timeline> =
-        ShardedDeltaRunner::new(topo.clone(), DeltaConfig::BP_RR, model);
+    let mut followers: ShardedEngineRunner<UserId, GSet<UserId>> =
+        ShardedEngineRunner::new(ProtocolKind::BpRr, topo.clone(), model, 1);
+    let mut walls: ShardedEngineRunner<UserId, Wall> =
+        ShardedEngineRunner::new(ProtocolKind::BpRr, topo.clone(), model, 1);
+    let mut timelines: ShardedEngineRunner<UserId, Timeline> =
+        ShardedEngineRunner::new(ProtocolKind::BpRr, topo.clone(), model, 1);
 
     for round in &trace.rounds {
         followers.step(

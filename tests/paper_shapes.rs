@@ -4,8 +4,8 @@
 
 use crdt_bench::{find, run_suite, Suite};
 use crdt_lattice::SizeModel;
-use crdt_sim::{run_experiment, NetworkConfig, ShardedDeltaRunner, Topology};
-use crdt_sync::{AckedDeltaSync, DeltaConfig, OpBased, Scuttlebutt, ScuttlebuttGc};
+use crdt_sim::{run_experiment, NetworkConfig, ShardedEngineRunner, Topology};
+use crdt_sync::{AckedDeltaSync, OpBased, ProtocolKind, Scuttlebutt, ScuttlebuttGc};
 use crdt_types::{GCounter, GSet};
 use crdt_workloads::{
     GCounterWorkload, GMapCrdt, GMapWorkload, GSetWorkload, RetwisConfig, RetwisTrace, Timeline,
@@ -212,7 +212,7 @@ fn fig10_memory_ordering() {
 fn fig11_retwis_contention_crossover() {
     let topo = Topology::partial_mesh(10, 4);
     let rounds = 8;
-    let run = |zipf: f64, cfg: DeltaConfig| {
+    let run = |zipf: f64, kind: ProtocolKind| {
         let trace = RetwisTrace::generate(
             RetwisConfig {
                 n_users: 200,
@@ -224,12 +224,12 @@ fn fig11_retwis_contention_crossover() {
             topo.len(),
             rounds,
         );
-        let mut followers: ShardedDeltaRunner<UserId, GSet<UserId>> =
-            ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-        let mut walls: ShardedDeltaRunner<UserId, Wall> =
-            ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-        let mut timelines: ShardedDeltaRunner<UserId, Timeline> =
-            ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
+        let mut followers: ShardedEngineRunner<UserId, GSet<UserId>> =
+            ShardedEngineRunner::new(kind, topo.clone(), MODEL, 1);
+        let mut walls: ShardedEngineRunner<UserId, Wall> =
+            ShardedEngineRunner::new(kind, topo.clone(), MODEL, 1);
+        let mut timelines: ShardedEngineRunner<UserId, Timeline> =
+            ShardedEngineRunner::new(kind, topo.clone(), MODEL, 1);
         for round in &trace.rounds {
             followers.step(
                 &round
@@ -254,8 +254,8 @@ fn fig11_retwis_contention_crossover() {
             .merged(&timelines.into_metrics())
             .total_bytes()
     };
-    let low = run(0.5, DeltaConfig::CLASSIC) as f64 / run(0.5, DeltaConfig::BP_RR) as f64;
-    let high = run(1.5, DeltaConfig::CLASSIC) as f64 / run(1.5, DeltaConfig::BP_RR) as f64;
+    let low = run(0.5, ProtocolKind::Classic) as f64 / run(0.5, ProtocolKind::BpRr) as f64;
+    let high = run(1.5, ProtocolKind::Classic) as f64 / run(1.5, ProtocolKind::BpRr) as f64;
     assert!(
         low < 2.5,
         "low contention: classic must be near BP+RR (got {low:.2}x)"

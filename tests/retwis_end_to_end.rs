@@ -3,8 +3,8 @@
 //! walls and follower sets, whichever delta variant synchronized them.
 
 use crdt_lattice::{ReplicaId, SizeModel};
-use crdt_sim::{ShardedDeltaRunner, Topology};
-use crdt_sync::DeltaConfig;
+use crdt_sim::{ShardedEngineRunner, Topology};
+use crdt_sync::ProtocolKind;
 use crdt_types::GSet;
 use crdt_workloads::{
     NodeTraceOps, RetwisConfig, RetwisStore, RetwisTrace, RetwisWorkload, Timeline, UserId, Wall,
@@ -13,16 +13,16 @@ use crdt_workloads::{
 const MODEL: SizeModel = SizeModel::compact();
 
 struct RetwisRun {
-    followers: ShardedDeltaRunner<UserId, GSet<UserId>>,
-    walls: ShardedDeltaRunner<UserId, Wall>,
-    timelines: ShardedDeltaRunner<UserId, Timeline>,
+    followers: ShardedEngineRunner<UserId, GSet<UserId>>,
+    walls: ShardedEngineRunner<UserId, Wall>,
+    timelines: ShardedEngineRunner<UserId, Timeline>,
 }
 
-fn run_trace(trace: &RetwisTrace, topo: &Topology, cfg: DeltaConfig) -> RetwisRun {
+fn run_trace(trace: &RetwisTrace, topo: &Topology, kind: ProtocolKind) -> RetwisRun {
     let mut run = RetwisRun {
-        followers: ShardedDeltaRunner::new(topo.clone(), cfg, MODEL),
-        walls: ShardedDeltaRunner::new(topo.clone(), cfg, MODEL),
-        timelines: ShardedDeltaRunner::new(topo.clone(), cfg, MODEL),
+        followers: ShardedEngineRunner::new(kind, topo.clone(), MODEL, 1),
+        walls: ShardedEngineRunner::new(kind, topo.clone(), MODEL, 1),
+        timelines: ShardedEngineRunner::new(kind, topo.clone(), MODEL, 1),
     };
     for round in &trace.rounds {
         run.followers.step(
@@ -69,10 +69,10 @@ fn all_delta_variants_agree_on_application_state() {
     let topo = Topology::partial_mesh(8, 4);
     let trace = small_trace(1.0, &topo);
 
-    let classic = run_trace(&trace, &topo, DeltaConfig::CLASSIC);
-    let bprr = run_trace(&trace, &topo, DeltaConfig::BP_RR);
-    let bp = run_trace(&trace, &topo, DeltaConfig::BP);
-    let rr = run_trace(&trace, &topo, DeltaConfig::RR);
+    let classic = run_trace(&trace, &topo, ProtocolKind::Classic);
+    let bprr = run_trace(&trace, &topo, ProtocolKind::BpRr);
+    let bp = run_trace(&trace, &topo, ProtocolKind::Bp);
+    let rr = run_trace(&trace, &topo, ProtocolKind::Rr);
 
     // Spot-check the hottest users' objects across configurations and
     // replicas.
@@ -110,7 +110,7 @@ fn replicated_data_matches_a_sequential_oracle() {
     // compare object contents with the replicated deployment.
     let topo = Topology::binary_tree(7);
     let trace = small_trace(0.8, &topo);
-    let replicated = run_trace(&trace, &topo, DeltaConfig::BP_RR);
+    let replicated = run_trace(&trace, &topo, ProtocolKind::BpRr);
 
     use crdt_types::{Crdt, GMapOp, GSetOp};
     let mut oracle = RetwisStore::new();
@@ -160,7 +160,7 @@ fn replicated_data_matches_a_sequential_oracle() {
 fn timeline_reads_are_consistent_across_replicas() {
     let topo = Topology::ring(6);
     let trace = small_trace(1.2, &topo);
-    let run = run_trace(&trace, &topo, DeltaConfig::BP_RR);
+    let run = run_trace(&trace, &topo, ProtocolKind::BpRr);
     for user in 0..30u32 {
         let views: Vec<_> = (0..6)
             .map(|n| run.timelines.object_state(ReplicaId(n), &user).cloned())
@@ -204,7 +204,7 @@ fn composed_store_and_sharded_runners_agree() {
     // Sharded: same trace, replicated, then read back from a replica.
     let topo = Topology::full_mesh(n_nodes);
     let trace = RetwisTrace::generate(cfg, n_nodes, rounds);
-    let run = run_trace(&trace, &topo, DeltaConfig::BP_RR);
+    let run = run_trace(&trace, &topo, ProtocolKind::BpRr);
 
     for user in 0..100u32 {
         let sharded = run
